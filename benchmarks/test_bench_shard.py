@@ -8,12 +8,11 @@ isolates the sharding machinery's own overhead against the unsharded
 fan-out costs (split + ghost halo + merge) and what it saves (each tile
 radio works a fraction of the fleet).
 
-Honest-hardware note: CI for this repo runs on a single CPU, where
-per-tile *processes* cannot beat the in-process loop — the committed
-``BENCH_pr9.json`` numbers therefore measure the sequential sharded
-path, whose wins are algorithmic (smaller per-tile neighbor problems)
-rather than parallel. On a multi-core host, pass
-``ShardingConfig(workers=N)`` for wall-clock scaling on top.
+Honest-hardware note: these cases time the in-process (sequential)
+sharded path, whose wins can only be algorithmic (smaller per-tile
+neighbor problems), not parallel. Per-tile *processes*
+(``ShardingConfig(workers=N)``) need spare cores to pay for their
+serialization; time them separately on the target host.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ def _sharded_step_simulation(k: int, tiles: int) -> MobileSimulation:
         k=k, rc=10.0, rs=5.0, region=field.region, field=field,
         speed=1.0, t0=600.0, duration=45.0,
     )
-    return MobileSimulation(
-        problem, incremental_geometry=True, tiles=tiles
-    )
+    return MobileSimulation(problem, tiles=tiles)
 
 
 @pytest.mark.parametrize("tiles", [1, 2, 4])
@@ -45,7 +42,7 @@ def test_bench_step_sharded(benchmark, k, tiles):
     """Steady-state sharded round: warm round 0 (calibration runs at the
     barrier by design), then time fan-out rounds."""
     sim = _sharded_step_simulation(k, tiles)
-    sim.step()  # calibration + geometry warm-up, like the unsharded bench
+    sim.step()  # calibration round, like the unsharded bench
     record = benchmark.pedantic(sim.step, rounds=3, iterations=1,
                                 warmup_rounds=0)
     assert record.n_alive == k

@@ -20,7 +20,8 @@ import numpy as np
 from repro.core.problem import OSTDProblem
 from repro.fields.greenorbs import GreenOrbsLightField
 from repro.sim.engine import MobileSimulation
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.failures import NodeFailureSchedule
+from repro.sim.netmodel import BernoulliLink, NetworkModel
 
 K = 100
 DURATION = 30.0
@@ -58,13 +59,13 @@ def main() -> None:
 
     lossy = run_scenario(
         "15% message loss",
-        message_loss=MessageLossModel(0.15, seed=3),
+        network=NetworkModel(link=BernoulliLink(0.15, seed=3)),
     )
 
     both = run_scenario(
         "deaths + message loss",
         failure_schedule=NodeFailureSchedule(at={DEATH_TIME: doomed}),
-        message_loss=MessageLossModel(0.15, seed=3),
+        network=NetworkModel(link=BernoulliLink(0.15, seed=3)),
     )
 
     print("\nsummary:")

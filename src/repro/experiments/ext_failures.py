@@ -20,8 +20,9 @@ from repro.core.problem import OSTDProblem
 from repro.experiments import config
 from repro.experiments.registry import ExperimentResult, experiment
 from repro.sim.engine import MobileSimulation
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.failures import NodeFailureSchedule
 from repro.sim.netmodel import (
+    BernoulliLink,
     GilbertElliottLink,
     NetworkModel,
     PerfectLink,
@@ -96,23 +97,25 @@ def run(fast: bool = False) -> ExperimentResult:
     # Kill a spatially spread 20% of the fleet (every 5th node id).
     doomed = list(range(0, K, 5))
 
-    # (name, failure_schedule, message_loss, network, crash_model) —
-    # the first three rows predate the netmodel and keep their legacy
-    # radio-level configuration so their numbers stay comparable across
-    # versions; the netmodel scenarios layer the richer pipeline on top.
+    # (name, failure_schedule, network, crash_model)
     scenarios = (
-        ("baseline", None, None, None, None),
+        ("baseline", None, None, None),
         (
             "20% node deaths",
             NodeFailureSchedule(at={death_time: doomed}),
-            None, None, None,
+            None, None,
         ),
-        ("20% message loss", None, MessageLossModel(0.2, seed=1), None, None),
+        (
+            "20% message loss",
+            None,
+            NetworkModel(link=BernoulliLink(0.2, seed=1)),
+            None,
+        ),
         (
             # Same ~20% average loss as above, but bursty: mean burst of
             # 4 bad rounds per link, one backoff retry per beacon.
             "20% bursty loss (GE)",
-            None, None,
+            None,
             NetworkModel(
                 GilbertElliottLink(
                     p_fail=0.082, p_recover=0.25, loss_bad=0.9, seed=1
@@ -123,7 +126,7 @@ def run(fast: bool = False) -> ExperimentResult:
         ),
         (
             "delayed beacons (<=2 rounds)",
-            None, None,
+            None,
             NetworkModel(
                 PerfectLink(),
                 delay=UniformDelayModel(2, seed=2),
@@ -133,18 +136,17 @@ def run(fast: bool = False) -> ExperimentResult:
         ),
         (
             "5% transient crashes",
-            None, None, None,
+            None, None,
             RandomChurn(0.05, recover_prob=0.3, seed=3),
         ),
     )
     rows = []
-    for name, deaths, loss, network, crash in scenarios:
+    for name, deaths, network, crash in scenarios:
         sim = MobileSimulation(
             _make_problem(field, sc.n_rounds),
             params=config.cma_params(),
             resolution=sc.resolution,
             failure_schedule=deaths,
-            message_loss=loss,
             network=network,
             crash_model=crash,
         )

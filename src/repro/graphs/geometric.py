@@ -8,34 +8,25 @@ computations can reason about physical gaps.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.geometry import spatial_index
 from repro.geometry.primitives import pairwise_distances
-from repro.geometry.spatial_index import (
-    DENSE_CROSSOVER,
-    SpatialHashGrid,
-    dense_crossover,
-)
+from repro.geometry.spatial_index import SpatialHashGrid
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import connected_components
 
 
-def unit_disk_graph(
-    positions: np.ndarray,
-    radius: float,
-    crossover: Optional[int] = None,
-) -> Graph:
+def unit_disk_graph(positions: np.ndarray, radius: float) -> Graph:
     """Build ``G(i, Rc)``: edge between nodes at distance <= ``radius``.
 
     ``positions`` is an ``(n, 2)`` array. Distances are edge weights.
-    Above the effective crossover (``crossover`` keyword >
-    ``REPRO_DENSE_CROSSOVER`` env var >
-    :data:`~repro.geometry.spatial_index.DENSE_CROSSOVER`) the edge set
-    comes from the cell-list grid instead of the dense distance matrix —
-    same edges, same weights, same insertion order, O(k) at fixed
-    density instead of O(k²).
+    Above :data:`~repro.geometry.spatial_index.DENSE_CROSSOVER` points
+    the edge set comes from the cell-list grid instead of the dense
+    distance matrix — same edges, same weights, same insertion order,
+    O(k) at fixed density instead of O(k²).
     """
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if radius <= 0:
@@ -43,7 +34,7 @@ def unit_disk_graph(
     graph = Graph(len(pts))
     if len(pts) < 2:
         return graph
-    if len(pts) <= dense_crossover(crossover, default=DENSE_CROSSOVER):
+    if len(pts) <= spatial_index.DENSE_CROSSOVER:
         dists = pairwise_distances(pts)
         iu, ju = np.nonzero(np.triu(dists <= radius, k=1))
         for u, v in zip(iu.tolist(), ju.tolist()):

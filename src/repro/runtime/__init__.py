@@ -35,7 +35,6 @@ phases + middleware into a scheduler and expose ``step()``/``run()``
 exactly as before.
 """
 
-from repro.runtime.geometry import IncrementalGeometry
 from repro.runtime.checkpoint import (
     Checkpoint,
     CheckpointConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "CheckpointConfig",
     "CheckpointManager",
     "FailureInjectionMiddleware",
-    "IncrementalGeometry",
     "Middleware",
     "ObsMiddleware",
     "Phase",

@@ -510,18 +510,7 @@ class MeasurePhase:
                 n_trace_samples=0,
             )
 
-        # The maintained triangulation covers the node samples only; trace
-        # samples change the point set every round, so routes with extras
-        # fall back to the from-scratch build.
-        geometry = getattr(engine, "geometry", None)
-        simp = (
-            geometry.simplices_for(pts)
-            if geometry is not None and not ctx.extra_positions
-            else None
-        )
-        reconstruction = reconstruct_surface(
-            ctx.snapshot, pts, values=values, triangulation=simp
-        )
+        reconstruction = reconstruct_surface(ctx.snapshot, pts, values=values)
         graph = unit_disk_graph(alive_positions, engine.problem.rc)
         components = connected_components(graph)
         return RoundRecord(

@@ -180,20 +180,3 @@ class TilePartition:
             mask &= np.asarray(alive, dtype=bool).reshape(len(pts))
         return mask
 
-    def boundary_distance(self, positions: np.ndarray) -> np.ndarray:
-        """Distance from each position to the nearest *internal* tile edge.
-
-        ``inf`` everywhere for a single-tile partition (there are no
-        internal edges). Used by the tile-aware geometry cache to spot
-        movers near a tile boundary.
-        """
-        pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-        out = np.full(len(pts), np.inf)
-        r = self.region
-        w = r.width / self.nx
-        h = r.height / self.ny
-        for i in range(1, self.nx):
-            out = np.minimum(out, np.abs(pts[:, 0] - (r.xmin + i * w)))
-        for j in range(1, self.ny):
-            out = np.minimum(out, np.abs(pts[:, 1] - (r.ymin + j * h)))
-        return out

@@ -28,9 +28,8 @@ Barrier fallback
 ----------------
 Whenever a round's tile-safe prefix is *not* decomposable — the round-0
 curvature calibration (a global mean), sensor-noise reads (one RNG
-stream drawn in fleet-wide node order), a message-loss model or the
-netmodel pipeline (RNG/state consumed in fleet-wide directed-pair
-order) — the fused phase simply runs the original phases at the barrier.
+stream drawn in fleet-wide node order) or the netmodel pipeline
+(RNG/state consumed in fleet-wide directed-pair order) — the fused phase simply runs the original phases at the barrier.
 That is what makes the headline contract unconditional: runs with
 ``--tiles`` 1..4 are ``np.array_equal`` to the single-process engine
 *including* under faults, noise and checkpoint/resume.
@@ -92,13 +91,10 @@ class ShardingConfig:
     without spare cores; ``workers=N`` keeps a persistent N-process pool.
     ``obs_shard_dir`` turns on per-tile JSONL shard logs (headed by
     ``run_meta`` built from ``run_meta``'s scenario/seed/params fields).
-    ``crossover`` tunes the tile radios' dense/cell-list threshold (tile
-    populations are much smaller than the fleet's).
     """
 
     tiles: int
     workers: Optional[int] = None
-    crossover: Optional[int] = None
     obs_shard_dir: Optional[str] = None
     run_meta: Optional[Dict[str, Any]] = None
 
@@ -152,8 +148,6 @@ class TileComputePhase:
             return "calibration"
         if engine.sensor_noise_std > 0.0:
             return "sensor_noise"
-        if engine.radio.loss is not None:
-            return "message_loss"
         if getattr(engine, "network", None) is not None:
             return "netmodel"
         return None
@@ -301,9 +295,7 @@ class ShardedScheduler(Scheduler):
         if workers is None or len(tasks) <= 1:
             if self._runtime is None:
                 self._runtime = TileRuntime(
-                    self.engine.problem,
-                    self.engine.params,
-                    crossover=self.config.crossover,
+                    self.engine.problem, self.engine.params
                 )
             return [self._runtime.compute(task) for task in tasks]
         pool = self._ensure_pool()
@@ -317,11 +309,7 @@ class ShardedScheduler(Scheduler):
             self._pool = ProcessPoolExecutor(
                 max_workers=self.config.workers,
                 initializer=_init_worker,
-                initargs=(
-                    self.engine.problem,
-                    self.engine.params,
-                    self.config.crossover,
-                ),
+                initargs=(self.engine.problem, self.engine.params),
             )
             self._pool_finalizer = weakref.finalize(
                 self, _shutdown_pool, self._pool

@@ -82,15 +82,13 @@ class TileResult:
 class TileRuntime:
     """Executes :class:`TileTask` items against a fixed configuration."""
 
-    def __init__(self, problem, params, crossover: Optional[int] = None) -> None:
+    def __init__(self, problem, params) -> None:
         from repro.sim.radio import Radio
 
         self.problem = problem
         self.params = params
-        #: Tile-local radio: no loss model (lossy runs never reach the
-        #: fan-out), optional dense/cell-list crossover tuned for tile
-        #: populations.
-        self.radio = Radio(problem.rc, crossover=crossover)
+        #: Tile-local radio (lossy runs never reach the fan-out).
+        self.radio = Radio(problem.rc)
 
     def compute(self, task: TileTask) -> TileResult:
         from repro.sim.sensing import DiskSensor
@@ -182,10 +180,10 @@ class TileRuntime:
 _RUNTIME: Optional[TileRuntime] = None
 
 
-def _init_worker(problem, params, crossover: Optional[int]) -> None:
+def _init_worker(problem, params) -> None:
     """Pool initializer: build the worker's runtime once, not per task."""
     global _RUNTIME
-    _RUNTIME = TileRuntime(problem, params, crossover=crossover)
+    _RUNTIME = TileRuntime(problem, params)
 
 
 def _compute_tile(task: TileTask) -> TileResult:

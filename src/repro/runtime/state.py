@@ -16,9 +16,9 @@ round clock); per-engine extras go in the two escape hatches:
   :class:`~repro.sim.failures.NodeFailureSchedule`).
 
 RNG states are the ``bit_generator.state`` dicts of the run's
-:class:`numpy.random.Generator` instances, keyed by role ("sensor",
-"message_loss", ...). They contain arbitrary-precision integers, which is
-why they serialise through JSON rather than fixed-width arrays.
+:class:`numpy.random.Generator` instances, keyed by role (e.g.
+"sensor"). They contain arbitrary-precision integers, which is why they
+serialise through JSON rather than fixed-width arrays.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ package is that testbed:
 * :mod:`.sensing` — the ``Rs``-disk sensing model producing the ``m``
   samples and local curvature estimates of Table 2,
 * :mod:`.radio` — unit-disk neighbour discovery and the per-round
-  ``(x, y, G)`` exchange, with optional message loss,
+  ``(x, y, G)`` exchange,
 * :mod:`.messages` — the ``tell`` message (destination + neighbour table),
 * :mod:`.netmodel` — the unreliable-network subsystem: link-loss models
   (i.i.d., distance-dependent, Gilbert–Elliott bursty), beacon latency
   with staleness, retry/ack with backoff, crash/recovery churn, energy
-  depletion, and the legacy failure models,
+  depletion, and permanent death schedules,
 * :mod:`.engine` — the synchronous round loop
   (sense → exchange → plan → move → LCM → measure), and
 * :mod:`.recorders` — pluggable observers collecting δ(t), trajectories,
@@ -28,7 +28,6 @@ from repro.sim.netmodel import (
     EnergyDepletionModel,
     GilbertElliottLink,
     LinkModel,
-    MessageLossModel,
     NetworkModel,
     NodeFailureSchedule,
     PerfectLink,
@@ -66,7 +65,6 @@ __all__ = [
     "ForceRecorder",
     "GilbertElliottLink",
     "LinkModel",
-    "MessageLossModel",
     "MetricsRecorder",
     "MobileSimulation",
     "NetworkModel",

@@ -39,7 +39,6 @@ from repro.obs.instrument import Instrumentation, get_instrumentation
 from repro.obs.profile import PhaseProfiler, get_profile_config
 from repro.runtime.checkpoint import CheckpointConfig, drive_run
 from repro.runtime.cma_phases import CMA_PHASES, MobileRoundContext
-from repro.runtime.geometry import IncrementalGeometry
 from repro.runtime.middleware import (
     FailureInjectionMiddleware,
     ObsMiddleware,
@@ -50,7 +49,7 @@ from repro.runtime.scheduler import Scheduler
 from repro.runtime.sharding import ShardedScheduler, resolve_tiles
 from repro.runtime.state import WorldState
 from repro.sim.netmodel.churn import EnergyDepletionModel
-from repro.sim.netmodel.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.netmodel.failures import NodeFailureSchedule
 from repro.sim.netmodel.network import NetworkModel
 from repro.sim.node import NodeState
 from repro.sim.radio import Radio
@@ -106,7 +105,6 @@ class MobileSimulation:
         params: Optional[CMAParams] = None,
         initial_positions: Optional[np.ndarray] = None,
         resolution: int = 101,
-        message_loss: Optional[MessageLossModel] = None,
         failure_schedule: Optional[NodeFailureSchedule] = None,
         network: Optional[NetworkModel] = None,
         crash_model=None,
@@ -117,7 +115,6 @@ class MobileSimulation:
         sensor_noise_std: float = 0.0,
         sensor_noise_seed: int = 0,
         obs: Optional[Instrumentation] = None,
-        incremental_geometry: bool = False,
         tiles: Optional[int] = None,
     ) -> None:
         self.problem = problem
@@ -130,13 +127,7 @@ class MobileSimulation:
         if self.params.rc != problem.rc or self.params.rs != problem.rs:
             raise ValueError("CMAParams radii must match the problem's Rc/Rs")
         self.resolution = int(resolution)
-        if network is not None and message_loss is not None:
-            raise ValueError(
-                "pass either message_loss (legacy i.i.d. radio loss) or "
-                "network (the netmodel pipeline), not both — wrap the loss "
-                "in NetworkModel(link=...) instead"
-            )
-        self.radio = Radio(problem.rc, loss=message_loss)
+        self.radio = Radio(problem.rc)
         #: Unreliable-network pipeline (loss/latency/staleness/retries);
         #: ``None`` keeps the paper's perfect one-round beacon exchange.
         self.network = network
@@ -166,11 +157,6 @@ class MobileSimulation:
         #: Gaussian read noise on every sensed value (paper: noiseless).
         self.sensor_noise_std = float(sensor_noise_std)
         self._sensor_rng = np.random.default_rng(sensor_noise_seed)
-        #: Opt-in cross-round maintenance of the measurement triangulation
-        #: (see :class:`repro.runtime.geometry.IncrementalGeometry`). The
-        #: cache is derivable from positions, so checkpoints are unchanged;
-        #: it is reset on restore and rebuilt lazily.
-        self.geometry = IncrementalGeometry() if incremental_geometry else None
 
         if initial_positions is not None:
             init = np.asarray(initial_positions, dtype=float).reshape(-1, 2)
@@ -213,10 +199,6 @@ class MobileSimulation:
                 advance=self._advance,
                 config=self.sharding,
             )
-            if self.geometry is not None:
-                self.geometry.set_partition(
-                    self.scheduler.partition, self.scheduler.halo
-                )
         else:
             self.scheduler = Scheduler(
                 phases=phases,
@@ -252,14 +234,12 @@ class MobileSimulation:
     def capture_state(self) -> WorldState:
         """Snapshot the complete mutable state of the run.
 
-        Includes every RNG stream's exact position (sensor noise, message
-        loss) and the failure schedule's fired set, so a restored run
-        continues bit-identically.
+        Includes every RNG stream's exact position (sensor noise, and the
+        network model's links and delays) and the failure schedule's fired
+        set, so a restored run continues bit-identically.
         """
         nodes = self.nodes
         rng_states = {"sensor": self._sensor_rng.bit_generator.state}
-        if self.radio.loss is not None:
-            rng_states["message_loss"] = self.radio.loss.rng_state
         aux = {}
         if self.failure_schedule is not None:
             aux["failure_fired"] = self.failure_schedule.fired_times()
@@ -291,7 +271,7 @@ class MobileSimulation:
         """Load a :class:`WorldState` into this engine (same configuration).
 
         The engine must have been constructed with the same problem and
-        the same optional models (loss, schedule, sampler) as the run the
+        the same optional models (network, schedule, sampler) as the run the
         state was captured from; only the mutable state is restored.
         """
         if state.k != len(self.nodes):
@@ -310,8 +290,6 @@ class MobileSimulation:
         self._curvature_scale = state.curvature_scale
         if "sensor" in state.rng_states:
             self._sensor_rng.bit_generator.state = state.rng_states["sensor"]
-        if self.radio.loss is not None and "message_loss" in state.rng_states:
-            self.radio.loss.rng_state = state.rng_states["message_loss"]
         if self.failure_schedule is not None and "failure_fired" in state.aux:
             self.failure_schedule.restore_fired(state.aux["failure_fired"])
         if self.network is not None and "network" in state.aux:
@@ -320,8 +298,6 @@ class MobileSimulation:
             self.crash_model.load_state_dict(state.aux["crash"])
         if self.energy_model is not None and "energy" in state.aux:
             self.energy_model.load_state_dict(state.aux["energy"])
-        if self.geometry is not None:
-            self.geometry.reset()
         # Cross-round scheduler accounting (e.g. the sharded scheduler's
         # previous-round tile assignment) is transient and restarts clean.
         reset = getattr(self.scheduler, "reset_transients", None)

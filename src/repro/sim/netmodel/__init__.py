@@ -13,8 +13,8 @@ determinism or bit-identical checkpoint/resume:
   caching with staleness stamping;
 * :mod:`.churn` — transient crash/recovery (scripted and stochastic)
   and energy-depletion death;
-* :mod:`.failures` — the seed models (i.i.d. message loss, permanent
-  death schedules), kept importable from ``repro.sim.failures`` too.
+* :mod:`.failures` — the seed's permanent death schedules, kept
+  importable from ``repro.sim.failures`` too.
 
 Every model is deterministic given its seed and exposes
 ``state_dict()`` / ``load_state_dict()`` with JSON-able payloads, which
@@ -32,7 +32,7 @@ from repro.sim.netmodel.delay import (
     PendingBeacon,
     UniformDelayModel,
 )
-from repro.sim.netmodel.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.netmodel.failures import NodeFailureSchedule
 from repro.sim.netmodel.links import (
     BernoulliLink,
     DistanceLossLink,
@@ -50,7 +50,6 @@ __all__ = [
     "EnergyDepletionModel",
     "GilbertElliottLink",
     "LinkModel",
-    "MessageLossModel",
     "NetworkModel",
     "NodeFailureSchedule",
     "PendingBeacon",

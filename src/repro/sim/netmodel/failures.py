@@ -1,14 +1,8 @@
-"""The seed fault models: i.i.d. message loss and permanent death schedules.
+"""The seed fault model: permanent death schedules.
 
-These two predate the :mod:`repro.sim.netmodel` subsystem (they lived in
-``repro.sim.failures``, which now re-exports them from here):
-
-* :class:`MessageLossModel` — i.i.d. Bernoulli loss on each directed
-  beacon delivery, the legacy ``Radio(loss=...)`` hook. It *is* a
-  :class:`~repro.sim.netmodel.links.BernoulliLink`, so it also plugs
-  into a :class:`~repro.sim.netmodel.network.NetworkModel` unchanged.
-* :class:`NodeFailureSchedule` — nodes that die permanently at
-  scheduled simulation times.
+:class:`NodeFailureSchedule` predates the :mod:`repro.sim.netmodel`
+subsystem (it lived in ``repro.sim.failures``, which now re-exports it
+from here): nodes that die permanently at scheduled simulation times.
 
 The schedule accepts either a ``{time: ids}`` dict or an iterable of
 ``(time, ids)`` pairs; duplicate times in the pair form are **merged**
@@ -22,23 +16,11 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from repro.sim.netmodel.links import BernoulliLink
-
-__all__ = ["MessageLossModel", "NodeFailureSchedule"]
+__all__ = ["NodeFailureSchedule"]
 
 ScheduleLike = Union[
     Dict[float, Sequence[int]], Iterable[Tuple[float, Sequence[int]]]
 ]
-
-
-class MessageLossModel(BernoulliLink):
-    """Bernoulli loss on each directed message delivery.
-
-    Deterministic given the seed; the same model instance must be reused
-    across rounds so the RNG stream advances. Call compatible with both
-    the legacy radio (``delivered()``) and the link-model protocol
-    (``delivered(sender, receiver, distance)``).
-    """
 
 
 class NodeFailureSchedule:

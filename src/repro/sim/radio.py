@@ -2,11 +2,11 @@
 
 Two nodes are single-hop neighbours iff their distance is at most ``Rc``
 (the paper's communication model). Each round every alive node broadcasts
-``(x, y, G)``; the radio delivers those beacons to every in-range listener,
-subject to the optional message-loss model.
+``(x, y, G)``; the radio delivers those beacons to every in-range listener.
 
-This class stays the *geometric* layer. The richer failure surface —
-distance-dependent and bursty loss, delayed beacons, retry/ack — lives in
+This class stays the *geometric* layer. The unreliable-network surface —
+i.i.d., distance-dependent and bursty loss, delayed beacons, retry/ack —
+lives in
 :class:`repro.sim.netmodel.network.NetworkModel`, which calls
 :meth:`Radio.neighbor_ids` for the in-range sets and layers the
 unreliable-network pipeline on top.
@@ -14,42 +14,24 @@ unreliable-network pipeline on top.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cma import NeighborObservation
+from repro.geometry import spatial_index
 from repro.geometry.primitives import pairwise_distances
-from repro.geometry.spatial_index import (
-    DENSE_CROSSOVER,
-    SpatialHashGrid,
-    dense_crossover,
-)
+from repro.geometry.spatial_index import SpatialHashGrid
 from repro.obs.instrument import get_instrumentation
-from repro.sim.netmodel.failures import MessageLossModel
 
 
 class Radio:
-    """The shared medium connecting all nodes.
+    """The shared medium connecting all nodes."""
 
-    ``crossover`` overrides the dense/cell-list neighbour-discovery
-    threshold for this radio (see
-    :func:`repro.geometry.spatial_index.dense_crossover`); sharded tiles
-    hand their radios smaller populations than the whole fleet and may
-    tune the break-even point independently.
-    """
-
-    def __init__(
-        self,
-        rc: float,
-        loss: Optional[MessageLossModel] = None,
-        crossover: Optional[int] = None,
-    ) -> None:
+    def __init__(self, rc: float) -> None:
         if rc <= 0:
             raise ValueError(f"Rc must be positive, got {rc}")
         self.rc = float(rc)
-        self.loss = loss
-        self.crossover = crossover
         # One-entry neighbour-table cache keyed on the *content* of the
         # positions/alive arrays (the engine rebuilds those arrays every
         # access, so identity would never hit). Within a round both the
@@ -78,7 +60,7 @@ class Radio:
         cached = self._nbr_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        if n <= dense_crossover(self.crossover, default=DENSE_CROSSOVER):
+        if n <= spatial_index.DENSE_CROSSOVER:
             # Whole-matrix adjacency in one shot: dead rows/columns masked,
             # self-links cleared, then a single row-major nonzero split into
             # per-node lists (column indices are sorted within each row, the
@@ -112,11 +94,6 @@ class Radio:
     ) -> List[List[NeighborObservation]]:
         """One beacon round: what each node hears from its neighbours.
 
-        Message loss (when configured) applies independently per directed
-        delivery, so a beacon may reach some neighbours and not others —
-        the two directions of a link can disagree, exactly the asymmetry
-        real lossy radios produce.
-
         ``ids`` maps row indices to global node ids for subset exchanges:
         a sharded tile resolves neighbours against its owned+ghost point
         set but must report each beacon under the sender's fleet-wide id,
@@ -128,18 +105,14 @@ class Radio:
         """
         pts = np.asarray(positions, dtype=float).reshape(-1, 2)
         nbr_lists = self.neighbor_ids(pts, alive=alive)
-        heard: List[List[NeighborObservation]] = []
-        for i, nbrs in enumerate(nbr_lists):
-            inbox: List[NeighborObservation] = []
-            for j in nbrs:
-                if self.loss is not None and not self.loss.delivered():
-                    continue
-                inbox.append(
-                    NeighborObservation(
-                        node_id=j if ids is None else int(ids[j]),
-                        position=pts[j].copy(),
-                        curvature=float(curvatures[j]),
-                    )
+        return [
+            [
+                NeighborObservation(
+                    node_id=j if ids is None else int(ids[j]),
+                    position=pts[j].copy(),
+                    curvature=float(curvatures[j]),
                 )
-            heard.append(inbox)
-        return heard
+                for j in nbrs
+            ]
+            for nbrs in nbr_lists
+        ]

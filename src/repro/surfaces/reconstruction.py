@@ -43,19 +43,11 @@ def reconstruct_surface(
     positions: np.ndarray,
     values: Optional[np.ndarray] = None,
     field: Optional[Field] = None,
-    triangulation: Optional[np.ndarray] = None,
 ) -> Reconstruction:
     """Rebuild the surface from samples at ``positions`` and score it.
 
     Either pass the sampled ``values`` directly (what real nodes would
     report), or a ``field`` to sample — exactly one of the two.
-
-    ``triangulation`` optionally supplies a precomputed ``(m, 3)`` simplex
-    array over exactly these positions (e.g. from an incrementally
-    maintained :class:`~repro.geometry.delaunay.DelaunayTriangulation`),
-    skipping the from-scratch Delaunay build. The simplices are
-    canonicalised either way, so a maintained mesh and a fresh build with
-    the same triangle set score bit-identically.
     """
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if (values is None) == (field is None):
@@ -75,9 +67,7 @@ def reconstruct_surface(
     # CMA round and FRA history point.
     obs = get_instrumentation()
     with obs.span("reconstruct"):
-        interp = LinearSurfaceInterpolator(
-            pts, vals, triangulation=triangulation, canonical=True
-        )
+        interp = LinearSurfaceInterpolator(pts, vals, canonical=True)
         surface = GridSample(
             xs=reference.xs,
             ys=reference.ys,

@@ -9,6 +9,7 @@ from repro.geometry.delaunay import (
     DelaunayTriangulation,
     DuplicatePointError,
     Triangle,
+    canonical_simplices,
 )
 from repro.geometry.predicates import orientation
 
@@ -219,3 +220,21 @@ class TestCircumcircleCache:
             sci_edges |= {(a, b), (b, c), (a, c)}
         assert set(ours.edges()) == sci_edges
         assert ours.is_delaunay(eps=1e-6)
+
+
+class TestCanonicalSimplices:
+    def test_rotation_preserves_cyclic_order(self):
+        simp = np.array([[5, 2, 9], [1, 0, 3]])
+        out = canonical_simplices(simp)
+        # rows rotated min-first, then lexsorted
+        assert out.tolist() == [[0, 3, 1], [2, 9, 5]]
+
+    def test_row_order_independent(self):
+        simp = np.array([[3, 1, 2], [0, 4, 5]])
+        a = canonical_simplices(simp)
+        b = canonical_simplices(simp[::-1])
+        assert np.array_equal(a, b)
+
+    def test_empty(self):
+        out = canonical_simplices(np.empty((0, 3), dtype=int))
+        assert out.shape == (0, 3)

@@ -106,11 +106,16 @@ class TestDegenerateInputs:
         assert interp(2.1, 2.1) == 3.0
 
     def test_duplicate_points_collapsed(self):
-        pts = np.array([[0, 0], [0, 0], [4, 0], [0, 4]], dtype=float)
-        vals = np.array([1.0, 99.0, 2.0, 3.0])
-        interp = LinearSurfaceInterpolator(pts, vals)
-        # First value wins for the duplicate.
-        assert np.isclose(interp(0.0, 0.0), 1.0)
+        # Exact duplicates and near-duplicates (closer than the
+        # triangulation's dedup tolerance) both collapse to one vertex,
+        # with the value array kept aligned to the kept points.
+        for offset in (0.0, 1e-12):
+            pts = np.array([[0, 0], [offset, 0], [4, 0], [0, 4]], dtype=float)
+            vals = np.array([1.0, 99.0, 2.0, 3.0])
+            interp = LinearSurfaceInterpolator(pts, vals)
+            assert len(interp.points) == len(interp.values) == 3
+            # First value wins for the duplicate.
+            assert np.isclose(interp(0.0, 0.0), 1.0)
 
     def test_zero_samples_raises(self):
         with pytest.raises(ValueError):

@@ -26,8 +26,9 @@ from repro.runtime.checkpoint import CHECKPOINT_VERSION, RunPreempted
 from repro.runtime.records import RoundRecord
 from repro.sim.centralized import CentralizedSimulation
 from repro.sim.engine import MobileSimulation
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.failures import NodeFailureSchedule
 from repro.sim.netmodel import (
+    BernoulliLink,
     CrashSchedule,
     EnergyDepletionModel,
     GilbertElliottLink,
@@ -52,7 +53,7 @@ def make_mobile(problem):
     return MobileSimulation(
         problem,
         resolution=41,
-        message_loss=MessageLossModel(0.2, seed=3),
+        network=NetworkModel(link=BernoulliLink(0.2, seed=3)),
         failure_schedule=NodeFailureSchedule(at={602.0: [1, 2]}),
         sensor_noise_std=0.05,
         sensor_noise_seed=11,
@@ -64,6 +65,10 @@ def make_mobile(problem):
 #: interrupted, resumed) gets fresh model instances with fresh RNG
 #: streams — sharing instances would leak state across runs.
 FAULT_VARIANTS = {
+    "bernoulli-loss": lambda: dict(
+        network=NetworkModel(link=BernoulliLink(0.2, seed=3)),
+        failure_schedule=NodeFailureSchedule(at={602.0: [1, 2]}),
+    ),
     "bursty-loss": lambda: dict(
         network=NetworkModel(
             GilbertElliottLink(p_fail=0.2, p_recover=0.3, loss_bad=0.9, seed=3)

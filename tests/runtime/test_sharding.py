@@ -33,28 +33,24 @@ from repro.runtime.sharding import (
 )
 from repro.runtime.state import WorldState
 from repro.sim.engine import MobileSimulation
-from repro.sim.netmodel.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.netmodel import BernoulliLink, NetworkModel, NodeFailureSchedule
 
 REGION = BoundingBox(0.0, 0.0, 40.0, 20.0)
 
 
-def make_sim(tiles=None, loss=False, failures=False, noise=False,
-             geometry=False, k=25):
+def make_sim(tiles=None, loss=False, failures=False, noise=False, k=25):
     field = GreenOrbsLightField(side=40.0, seed=3, freeze_sun_at=600.0)
     problem = OSTDProblem(
         field=field, region=field.region, k=k, rc=10.0, rs=5.0
     )
     kwargs = {}
     if loss:
-        kwargs["message_loss"] = MessageLossModel(0.2, seed=3)
+        kwargs["network"] = NetworkModel(link=BernoulliLink(0.2, seed=3))
     if failures:
         kwargs["failure_schedule"] = NodeFailureSchedule({602.0: [1, 2]})
     if noise:
         kwargs.update(sensor_noise_std=0.05, sensor_noise_seed=11)
-    return MobileSimulation(
-        problem, resolution=41, tiles=tiles,
-        incremental_geometry=geometry, **kwargs
-    )
+    return MobileSimulation(problem, resolution=41, tiles=tiles, **kwargs)
 
 
 def assert_same_run(sim, base):
@@ -139,13 +135,6 @@ class TestTilePartition:
         alive = np.array([True, False])
         mask = part.ghost_mask(pts, tile=0, halo=5.0, alive=alive)
         assert mask.tolist() == [True, False]
-
-    def test_boundary_distance(self):
-        single = TilePartition(REGION, 1)
-        assert np.all(np.isinf(single.boundary_distance([[1.0, 1.0]])))
-        part = TilePartition(REGION, (2, 1))  # internal edge at x = 20
-        d = part.boundary_distance([[18.0, 3.0], [20.0, 19.0], [33.0, 0.0]])
-        assert d.tolist() == [2.0, 0.0, 13.0]
 
 
 def make_world(k=12, seed=0):
@@ -287,7 +276,7 @@ class TestShardedRunIdentity:
         self.run_pair(tiles)
 
     @pytest.mark.parametrize("tiles", [2, 4])
-    def test_under_message_loss(self, tiles):
+    def test_under_bernoulli_loss(self, tiles):
         self.run_pair(tiles, loss=True)
 
     @pytest.mark.parametrize("tiles", [2, 4])
@@ -334,15 +323,6 @@ class TestShardedRunIdentity:
         for _ in range(4):
             base.step()
             sim.step()
-        assert_same_run(sim, base)
-        sim.close()
-
-    def test_incremental_geometry_sharded(self):
-        base = make_sim(None, geometry=False)
-        sim = make_sim(4, geometry=True)
-        r_base = base.run(self.ROUNDS)
-        r_sim = sim.run(self.ROUNDS)
-        assert np.array_equal(r_sim.deltas, r_base.deltas)
         assert_same_run(sim, base)
         sim.close()
 
@@ -419,53 +399,6 @@ class TestTileObsShardLogs:
             assert [e["round"] for e in rounds] == [0, 1, 2]
             assert all(e["tile"] == tile for e in rounds)
             assert sum(e["owned"] for e in rounds) > 0
-
-
-class TestTileAwareGeometry:
-    def test_boundary_crossing_forces_full_rebuild(self):
-        from repro.runtime.geometry import IncrementalGeometry
-
-        part = TilePartition(REGION, (2, 1))  # internal edge at x = 20
-        rng = np.random.default_rng(2)
-        pts = rng.uniform((0.5, 0.5), (39.5, 19.5), size=(30, 2))
-        geom = IncrementalGeometry()
-        geom.set_partition(part, halo=5.0)
-        obs = Instrumentation.in_memory()
-        with use_instrumentation(obs):
-            first = geom.simplices_for(pts)
-            assert first is not None
-            # One mover, small step, same tile: incremental repair.
-            moved = pts.copy()
-            moved[0] += 0.05
-            geom.simplices_for(moved)
-            rebuilds_before = obs.counter("geom.full_rebuilds").value
-            # One mover crossing the x=20 edge: boundary fallback.
-            crossing = moved.copy()
-            idx = int(np.argmin(np.abs(crossing[:, 0] - 20.0)))
-            crossing[idx, 0] = 40.0 - crossing[idx, 0]
-            simplices = geom.simplices_for(crossing)
-            assert obs.counter("geom.full_rebuilds").value == rebuilds_before + 1
-            assert obs.counter("geom.tile_crossings").value >= 1
-        # The fallback rebuild matches a from-scratch triangulation.
-        fresh = IncrementalGeometry().simplices_for(crossing)
-        np.testing.assert_array_equal(simplices, fresh)
-
-    def test_cross_boundary_simplices_match_scratch_build(self):
-        """A maintained tile-aware mesh equals a fresh build after many
-        rounds of movement straddling the tile edges."""
-        from repro.runtime.geometry import IncrementalGeometry
-
-        part = TilePartition(REGION, 4)
-        rng = np.random.default_rng(7)
-        pts = rng.uniform((0.5, 0.5), (39.5, 19.5), size=(40, 2))
-        geom = IncrementalGeometry()
-        geom.set_partition(part, halo=5.0)
-        for _ in range(5):
-            drift = rng.normal(scale=0.4, size=pts.shape)
-            pts = np.clip(pts + drift, (0.5, 0.5), (39.5, 19.5))
-            maintained = geom.simplices_for(pts)
-            fresh = IncrementalGeometry().simplices_for(pts)
-            np.testing.assert_array_equal(maintained, fresh)
 
 
 class TestGuards:

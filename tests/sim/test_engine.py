@@ -8,7 +8,8 @@ from repro.core.problem import OSTDProblem
 from repro.fields.greenorbs import GreenOrbsLightField
 from repro.obs import Instrumentation, use_instrumentation
 from repro.sim.engine import MobileSimulation, SimulationResult
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.failures import NodeFailureSchedule
+from repro.sim.netmodel import BernoulliLink, NetworkModel
 from repro.sim.recorders import (
     ConnectivityRecorder,
     DeltaRecorder,
@@ -111,8 +112,8 @@ class TestFailures:
         r1 = sim.step()
         assert r1.n_alive == 22
 
-    def test_message_loss_still_runs(self):
-        sim = make_sim(message_loss=MessageLossModel(0.3, seed=1))
+    def test_bernoulli_loss_still_runs(self):
+        sim = make_sim(network=NetworkModel(link=BernoulliLink(0.3, seed=1)))
         result = sim.run()
         assert len(result.rounds) == 4
         assert np.isfinite(result.deltas).all()

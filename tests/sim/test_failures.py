@@ -2,29 +2,30 @@
 
 import pytest
 
-from repro.sim.failures import MessageLossModel, NodeFailureSchedule
+from repro.sim.failures import NodeFailureSchedule
+from repro.sim.netmodel import BernoulliLink
 
 
 class TestMessageLoss:
     def test_zero_probability_always_delivers(self):
-        model = MessageLossModel(0.0)
+        model = BernoulliLink(0.0)
         assert all(model.delivered() for _ in range(100))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MessageLossModel(1.0)
+            BernoulliLink(1.0)
         with pytest.raises(ValueError):
-            MessageLossModel(-0.1)
+            BernoulliLink(-0.1)
 
     def test_deterministic_given_seed(self):
-        a = MessageLossModel(0.5, seed=3)
-        b = MessageLossModel(0.5, seed=3)
+        a = BernoulliLink(0.5, seed=3)
+        b = BernoulliLink(0.5, seed=3)
         assert [a.delivered() for _ in range(50)] == [
             b.delivered() for _ in range(50)
         ]
 
     def test_loss_rate(self):
-        model = MessageLossModel(0.25, seed=0)
+        model = BernoulliLink(0.25, seed=0)
         outcomes = [model.delivered() for _ in range(4000)]
         rate = 1.0 - sum(outcomes) / len(outcomes)
         assert 0.2 < rate < 0.3

@@ -252,15 +252,6 @@ class TestEngineBitIdentity:
         assert np.array_equal(netted.deltas, plain.deltas)
         assert np.array_equal(netted.final_positions, plain.final_positions)
 
-    def test_network_plus_message_loss_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            from repro.sim.failures import MessageLossModel
-
-            self.run_engine(
-                network=NetworkModel(PerfectLink()),
-                message_loss=MessageLossModel(0.1),
-            )
-
 
 def make_nodes(n):
     return [

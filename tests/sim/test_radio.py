@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sim.failures import MessageLossModel
 from repro.sim.radio import Radio
 
 
@@ -50,28 +49,3 @@ class TestExchange:
         inboxes = radio.exchange(pts, [0.0, 0.0])
         inboxes[0][0].position[0] = 999.0
         assert pts[1, 0] == 5.0
-
-    def test_total_loss_silences_network(self):
-        class AlwaysLost(MessageLossModel):
-            def __init__(self):
-                super().__init__(0.5)
-
-            def delivered(self):
-                return False
-
-        radio = Radio(10.0, loss=AlwaysLost())
-        pts = np.array([[0, 0], [5, 0]], dtype=float)
-        inboxes = radio.exchange(pts, [0.0, 0.0])
-        assert all(len(inbox) == 0 for inbox in inboxes)
-
-    def test_loss_rate_statistics(self):
-        radio = Radio(10.0, loss=MessageLossModel(0.3, seed=0))
-        pts = np.array([[0, 0], [5, 0], [5, 5], [0, 5]], dtype=float)
-        received = 0
-        total = 0
-        for _ in range(200):
-            inboxes = radio.exchange(pts, [0.0] * 4)
-            received += sum(len(i) for i in inboxes)
-            total += 12  # 4 nodes x 3 neighbours
-        rate = received / total
-        assert 0.65 < rate < 0.75

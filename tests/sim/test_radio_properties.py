@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import repro.sim.radio as radio_module
+from repro.geometry import spatial_index
 from repro.sim.radio import Radio
 
 RC = 5.0
@@ -151,14 +151,14 @@ class TestGridVsDensePath:
 
     def both_paths(self, points, alive=None):
         pts = np.asarray(points, dtype=float)
-        original = radio_module.DENSE_CROSSOVER
+        original = spatial_index.DENSE_CROSSOVER
         try:
-            radio_module.DENSE_CROSSOVER = 10**9
+            spatial_index.DENSE_CROSSOVER = 10**9
             dense = Radio(RC).neighbor_ids(pts, alive=alive)
-            radio_module.DENSE_CROSSOVER = 0
+            spatial_index.DENSE_CROSSOVER = 0
             grid = Radio(RC).neighbor_ids(pts, alive=alive)
         finally:
-            radio_module.DENSE_CROSSOVER = original
+            spatial_index.DENSE_CROSSOVER = original
         return dense, grid
 
     @given(points=float_points)

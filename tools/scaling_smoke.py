@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Fleet-scale step-time smoke check: grid + incremental vs dense paths.
+"""Fleet-scale step-time smoke check: cell-list grid vs dense paths.
 
 Times one CMA round at ``k`` nodes (constant density) twice — once with
-the PR 7 defaults (cell-list neighbor index, incremental geometry cache)
-and once forced onto the dense O(k^2) formulations with the geometry
-cache off — and reports the ratio. Interleaved best-of-``trials`` guards
+the default engine (cell-list neighbor index) and once forced onto the
+dense O(k^2) neighbor matrices by raising
+:data:`repro.geometry.spatial_index.DENSE_CROSSOVER` — and reports the
+ratio. Interleaved best-of-``trials`` guards
 against machine noise.
 
 Warn-only by default: shared CI runners are far too noisy to gate merges
@@ -21,27 +22,23 @@ import time
 import numpy as np
 
 import repro.geometry.spatial_index as spatial_index
-import repro.graphs.geometric as geometric
-import repro.sim.radio as radio
 from repro.core.problem import OSTDProblem
 from repro.fields.greenorbs import GreenOrbsLightField
 from repro.sim.engine import MobileSimulation
 
-DENSE_MODULES = (spatial_index, geometric, radio)
 
-
-def build_sim(k: int, incremental: bool) -> MobileSimulation:
+def build_sim(k: int) -> MobileSimulation:
     side = 100.0 * float(np.sqrt(k / 100.0))
     field = GreenOrbsLightField(side=side, seed=7, freeze_sun_at=600.0)
     problem = OSTDProblem(
         k=k, rc=10.0, rs=5.0, region=field.region, field=field,
         speed=1.0, t0=600.0, duration=45.0,
     )
-    return MobileSimulation(problem, incremental_geometry=incremental)
+    return MobileSimulation(problem)
 
 
-def best_step_time(k: int, incremental: bool, rounds: int) -> float:
-    sim = build_sim(k, incremental)
+def best_step_time(k: int, rounds: int) -> float:
+    sim = build_sim(k)
     sim.step()  # warm: steady-state rounds are the comparison target
     times = []
     for _ in range(rounds):
@@ -52,14 +49,12 @@ def best_step_time(k: int, incremental: bool, rounds: int) -> float:
 
 
 def time_dense(k: int, rounds: int) -> float:
-    saved = [(m, m.DENSE_CROSSOVER) for m in DENSE_MODULES]
-    for m, _ in saved:
-        m.DENSE_CROSSOVER = 10**9
+    saved = spatial_index.DENSE_CROSSOVER
+    spatial_index.DENSE_CROSSOVER = 10**9
     try:
-        return best_step_time(k, incremental=False, rounds=rounds)
+        return best_step_time(k, rounds)
     finally:
-        for m, value in saved:
-            m.DENSE_CROSSOVER = value
+        spatial_index.DENSE_CROSSOVER = saved
 
 
 def main(argv=None) -> int:
@@ -78,14 +73,13 @@ def main(argv=None) -> int:
     dense, new = [], []
     for trial in range(args.trials):
         dense.append(time_dense(args.k, args.rounds))
-        new.append(best_step_time(args.k, incremental=True,
-                                  rounds=args.rounds))
+        new.append(best_step_time(args.k, args.rounds))
         print(f"trial {trial}: dense {dense[-1] * 1000:7.1f} ms   "
-              f"grid+incremental {new[-1] * 1000:7.1f} ms")
+              f"grid {new[-1] * 1000:7.1f} ms")
 
     ratio = min(new) / min(dense)
     print(f"\nk={args.k}: dense {min(dense) * 1000:.1f} ms, "
-          f"grid+incremental {min(new) * 1000:.1f} ms "
+          f"grid {min(new) * 1000:.1f} ms "
           f"-> ratio {ratio:.2f} (budget {args.budget:.2f})")
     if ratio > args.budget:
         print(f"WARNING: step-time ratio {ratio:.2f} exceeds the "
