@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.baselines import uniform_grid_placement
 from repro.core.cma import CMAParams
 from repro.core.fra import foresighted_refinement
 from repro.core.problem import OSTDProblem
@@ -21,6 +22,7 @@ from repro.fields.base import sample_grid
 from repro.fields.greenorbs import GreenOrbsLightField
 from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.interpolation import LinearSurfaceInterpolator
+from repro.geometry.primitives import BoundingBox
 from repro.graphs.relay import plan_relays
 from repro.sim.engine import MobileSimulation
 from repro.surfaces.metrics import volume_difference
@@ -84,6 +86,21 @@ def test_bench_reconstruct_scaling(benchmark, reference, k):
     """
     rng = np.random.default_rng(k)
     pts = rng.uniform(0, 100, size=(k, 2))
+    vals = np.sin(pts[:, 0] / 9.0) * np.cos(pts[:, 1] / 11.0)
+    recon = benchmark(reconstruct_surface, reference, pts, values=vals)
+    assert recon.surface.values.shape == (101, 101)
+    assert np.isfinite(recon.delta)
+
+
+def test_bench_reconstruct_grid_k900(benchmark, reference):
+    """reconstruct_surface on the 30x30 uniform grid (CMA's round 0).
+
+    Every grid cell is a cocircular quad, so this is the worst case of
+    the mesh builder's Lawson flip pass: the lexicographic tie-break
+    flips ~420 of Qhull's 841 cell diagonals. Compare with the random
+    k=900 case of ``test_bench_reconstruct_scaling``.
+    """
+    pts = uniform_grid_placement(BoundingBox.square(100.0), 900)
     vals = np.sin(pts[:, 0] / 9.0) * np.cos(pts[:, 1] / 11.0)
     recon = benchmark(reconstruct_surface, reference, pts, values=vals)
     assert recon.surface.values.shape == (101, 101)

@@ -1,14 +1,38 @@
-"""Incremental Bowyer--Watson Delaunay triangulation.
+"""Delaunay triangulation: the measurement mesh and FRA's incremental mesh.
 
 The paper reconstructs the environment surface from the ``k`` sampled
 positions with a Delaunay triangulation (``z* = DT(x, y)``, Section 3.1) and
 FRA refines that triangulation one insertion at a time (Table 1). This
-module provides exactly that: a triangulation that supports *incremental*
-insertion, built from scratch on the predicates in
-:mod:`repro.geometry.predicates`.
+module provides both:
 
-Implementation notes
---------------------
+* :func:`delaunay_mesh` builds the mesh every δ is measured on
+  (reconstruction, CMA's measure phase, FRA's scoring). It triangulates
+  with Qhull (:class:`scipy.spatial.Delaunay`) and then runs
+  :func:`lawson_flip`, so the triangle set is *the* Delaunay triangulation
+  under a lexicographic tie-break and δ is a function of the point set
+  alone (see "Degenerate input" below).
+* :class:`DelaunayTriangulation` is an incremental Bowyer--Watson
+  triangulation written directly on :mod:`repro.geometry.predicates`.
+  FRA inserts into it one point at a time and re-scores only the cavity.
+  Through :func:`lawson_flip` it is also the test oracle for
+  :func:`delaunay_mesh`: both must give the identical triangle set.
+
+Degenerate input
+----------------
+Cocircular points (the uniform grid is the common case) make the
+Delaunay triangulation non-unique, and Qhull and Bowyer--Watson both pick
+the diagonal of a cocircular quad by input order. :func:`delaunay_mesh`
+removes that freedom: it relabels the points in lexicographic
+``(x, y, value)`` order and flips every edge that
+:func:`repro.geometry.predicates.incircle_perturbed` calls illegal, a
+symbolic perturbation keyed on that rank. :class:`DelaunayTriangulation`
+on its own resolves in-circle ties as "outside", which always yields *a*
+valid Delaunay triangulation but one that depends on insertion order;
+FRA's mesh therefore follows FRA's insertion order, which is itself a
+deterministic function of the reference surface.
+
+Bowyer--Watson implementation notes
+-----------------------------------
 * A large super-triangle encloses all real points; triangles incident to its
   three synthetic vertices are hidden from the public API.
 * Storage is struct-of-arrays: vertices and triangle vertex-index rows live
@@ -28,11 +52,7 @@ Implementation notes
   ``r^2 - d^2 > threshold`` (five array passes) instead of the 18-pass
   in-circle determinant. Queries inside a conservative rounding band
   around the threshold re-run the exact determinant, so the decision is
-  always the scalar predicate's (see ``_bad_triangle_slots``); the
-  determinant-form scan is kept as ``_bad_triangle_slots_reference``.
-* Cocircular points (common on integer grids) make the Delaunay
-  triangulation non-unique; ties in the in-circle predicate are resolved as
-  "outside", which always yields *a* valid Delaunay triangulation.
+  always the scalar predicate's (see ``_bad_triangle_slots``).
 """
 
 from __future__ import annotations
@@ -49,7 +69,13 @@ from typing import (
 
 import numpy as np
 
-from repro.geometry.predicates import EPSILON, incircle
+from repro.geometry.predicates import (
+    EPSILON,
+    incircle,
+    incircle_det,
+    incircle_perturbed,
+    orientation_det,
+)
 from repro.geometry.primitives import Point2, PointLike
 
 
@@ -98,6 +124,10 @@ def canonical_simplices(simplices: np.ndarray) -> np.ndarray:
     order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0]))
     return rows[order]
 
+
+#: Samples this close are one vertex of the measurement mesh (the
+#: Bowyer--Watson triangulation's default ``dedup_tol``).
+_DEDUP_TOL = 1e-9
 
 #: Number of synthetic super-triangle vertices kept at internal indices 0..2.
 _N_SUPER = 3
@@ -350,15 +380,7 @@ class DelaunayTriangulation:
         uncertain = live & ~bad & (lhs > thr - band)
         if uncertain.any():
             idx = np.flatnonzero(uncertain)
-            xy = self._tri_xy[:, idx]
-            adx, ady = xy[0] - px, xy[1] - py
-            bdx, bdy = xy[2] - px, xy[3] - py
-            cdx, cdy = xy[4] - px, xy[5] - py
-            det = (
-                (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-                - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-                + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-            )
+            det = incircle_det(*self._tri_xy[:, idx], px, py)
             orient = self._tri_orient[idx]
             bad[idx] = ((orient > 0) & (det > EPSILON)) | (
                 (orient < 0) & (-det > EPSILON)
@@ -370,47 +392,16 @@ class DelaunayTriangulation:
 
         The fallback cavity for degenerate inserts (a point lying exactly
         on circumcircle boundaries, which the strict scan rejects). Same
-        exact determinant as the reference scan with the strictness
+        exact determinant as the scalar predicate with the strictness
         inequality flipped to include the boundary; flat (orient == 0)
         slots stay excluded, as everywhere else.
         """
         n = self._nt
-        xy = self._tri_xy
-        adx, ady = xy[0, :n] - px, xy[1, :n] - py
-        bdx, bdy = xy[2, :n] - px, xy[3, :n] - py
-        cdx, cdy = xy[4, :n] - px, xy[5, :n] - py
-        det = (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-        )
+        det = incircle_det(*self._tri_xy[:, :n], px, py)
         orient = self._tri_orient[:n]
         bad = self._tri_live[:n] & (
             ((orient > 0) & (det >= -EPSILON))
             | ((orient < 0) & (-det >= -EPSILON))
-        )
-        return np.flatnonzero(bad)
-
-    def _bad_triangle_slots_reference(self, px: float, py: float) -> np.ndarray:
-        """Determinant-form bad-triangle scan (validation oracle).
-
-        Whole-array evaluation of the same determinant the scalar
-        :func:`repro.geometry.predicates.incircle` computes, term order
-        preserved so the two agree bitwise.
-        """
-        n = self._nt
-        xy = self._tri_xy
-        adx, ady = xy[0, :n] - px, xy[1, :n] - py
-        bdx, bdy = xy[2, :n] - px, xy[3, :n] - py
-        cdx, cdy = xy[4, :n] - px, xy[5, :n] - py
-        det = (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-        )
-        orient = self._tri_orient[:n]
-        bad = self._tri_live[:n] & (
-            ((orient > 0) & (det > EPSILON)) | ((orient < 0) & (-det > EPSILON))
         )
         return np.flatnonzero(bad)
 
@@ -609,3 +600,125 @@ class DelaunayTriangulation:
             f"DelaunayTriangulation(n_points={self.n_points}, "
             f"n_triangles={len(self.simplices)})"
         )
+
+
+def delaunay_mesh(
+    points: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The measurement mesh ``z* = DT(x, y)`` over a sample set.
+
+    Returns ``(points, values, simplices)``: the samples relabelled in
+    lexicographic ``(x, y, value)`` order with near-duplicates collapsed,
+    and the Delaunay triangles over them — counter-clockwise, in the
+    :func:`canonical_simplices` order. Every output is a function of the
+    *set* of ``(x, y, value)`` samples, never of the order they are listed
+    in:
+
+    1. Samples within ``_DEDUP_TOL`` of an earlier kept sample (in
+       lexicographic order) are dropped, so of two coincident samples the
+       lexicographically first one's value wins.
+    2. Qhull triangulates. Fewer than three points or collinear input
+       (Qhull raises) give an empty mesh; the interpolator then falls back
+       to the nearest sample. If Qhull leaves a point out of the mesh as
+       ``coplanar`` (a precision merge of two nearby points), the mesh is
+       rebuilt with :class:`DelaunayTriangulation` instead, which keeps
+       every point further apart than ``_DEDUP_TOL``.
+    3. :func:`lawson_flip` resolves cocircular ties by lexicographic rank.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    vals = np.asarray(values, dtype=float).reshape(-1)
+    order = np.lexsort((vals, pts[:, 1], pts[:, 0]))
+    pts, vals = pts[order], vals[order]
+    keep = _first_of_near_duplicates(pts, _DEDUP_TOL)
+    pts, vals = pts[keep], vals[keep]
+    simplices = np.empty((0, 3), dtype=int)
+    if len(pts) >= 3:
+        # Imported on first use: scipy.spatial adds ~0.1 s to start-up.
+        from scipy.spatial import Delaunay, QhullError
+
+        try:
+            qhull = Delaunay(pts)
+        except QhullError:
+            pass
+        else:
+            if len(qhull.coplanar):
+                simplices = DelaunayTriangulation(pts, _DEDUP_TOL).simplices
+            else:
+                simplices = qhull.simplices
+    return pts, vals, canonical_simplices(lawson_flip(pts, simplices))
+
+
+def _first_of_near_duplicates(points: np.ndarray, tol: float) -> np.ndarray:
+    """Mask keeping each point not within ``tol`` of an earlier kept point."""
+    keep = np.ones(len(points), dtype=bool)
+    if len(points) < 2:
+        return keep
+    from scipy.spatial import cKDTree
+
+    # Pairs come as (i, j) with i < j; visiting them in order settles
+    # keep[i] before any pair (i, j) is read.
+    for i, j in sorted(cKDTree(points).query_pairs(tol)):
+        if keep[i]:
+            keep[j] = False
+    return keep
+
+
+def lawson_flip(points: np.ndarray, simplices: np.ndarray) -> np.ndarray:
+    """Flip a triangulation to the lexicographically tie-broken Delaunay one.
+
+    ``points`` must be in lexicographic order: a vertex's index is its
+    rank in the symbolic perturbation of
+    :func:`repro.geometry.predicates.incircle_perturbed`. Triangles are
+    first oriented counter-clockwise and flat ones (``|2A| <= EPSILON``)
+    dropped. Then every interior edge whose far vertex the perturbed
+    in-circle test puts inside the near triangle's circle is flipped, a
+    batch of edges sharing no triangle at a time, until none is left.
+    Starting from any Delaunay triangulation of the points, only the
+    cocircular ties flip, and the result is the same triangle set whatever
+    the start.
+    """
+    simp = np.asarray(simplices, dtype=np.int64).reshape(-1, 3)
+    xy = points[simp]
+    det = orientation_det(*xy[:, 0].T, *xy[:, 1].T, *xy[:, 2].T)
+    solid = np.abs(det) > EPSILON
+    simp = simp[solid]
+    cw = det[solid] < 0
+    simp[cw] = simp[cw][:, (0, 2, 1)]
+    if not simp.size:
+        return simp
+    n = len(points)
+    # Each batch flips at least one edge; the cap only guards against a
+    # flip cycle, which a consistent perturbation cannot produce.
+    for _ in range(len(simp) + 1):
+        # Directed edge 3t+s runs simp[t, s] -> simp[t, s+1] with simp[t, s+2]
+        # opposite; an interior edge's two copies sort next to each other.
+        u = simp.ravel()
+        v = simp[:, (1, 2, 0)].ravel()
+        w = simp[:, (2, 0, 1)].ravel()
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(key)
+        pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+        e0, e1 = order[pair], order[pair + 1]
+        lower = u[e0] < v[e0]
+        e = np.where(lower, e0, e1)
+        f = np.where(lower, e1, e0)
+        a, b, c, d = u[e], v[e], w[e], w[f]
+        illegal = incircle_perturbed(
+            points[a], points[b], points[c], points[d], (a, b, c, d)
+        ) > 0
+        if not illegal.any():
+            break
+        e, f = e[illegal], f[illegal]
+        t1, t2 = e // 3, f // 3
+        # A batch flips an edge only if it is the first illegal edge of
+        # both its triangles, so no triangle is rewritten twice.
+        q = np.arange(len(e))
+        first = np.full(len(simp), len(e))
+        np.minimum.at(first, t1, q)
+        np.minimum.at(first, t2, q)
+        go = (first[t1] == q) & (first[t2] == q)
+        a, b, c, d = (z[illegal][go] for z in (a, b, c, d))
+        # Quad a, d, b, c is counter-clockwise: swap diagonal ab for cd.
+        simp[t1[go]] = np.stack([a, d, c], axis=1)
+        simp[t2[go]] = np.stack([d, b, c], axis=1)
+    return simp

@@ -17,7 +17,8 @@ Kernel design
   applies them with the same floating-point formula as
   :func:`repro.geometry.predicates.barycentric_weights`, so the fast path
   is bit-compatible with the per-triangle scan kept in
-  :meth:`_evaluate_reference` (the tests' oracle).
+  :meth:`evaluate_grid_reference` (the tests' oracle, and the path for
+  unsorted grids and empty meshes).
 * Out-of-hull extrapolation is evaluated as a chunked whole-array
   broadcast over (triangle, query) pairs rather than a Python loop over
   triangles. A hull-edge-only candidate set would be ~6x smaller but can
@@ -39,7 +40,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.geometry.delaunay import DelaunayTriangulation, canonical_simplices
+from repro.geometry.delaunay import DelaunayTriangulation, delaunay_mesh
 from repro.geometry.predicates import barycentric_weights
 
 #: Barycentric slack treated as "inside" to absorb rounding on shared edges.
@@ -101,18 +102,15 @@ class LinearSurfaceInterpolator:
         ``(n,)`` sampled field values ``z_i``.
     triangulation:
         Either a :class:`DelaunayTriangulation` over exactly these points, an
-        ``(m, 3)`` index array, or ``None`` to build the Delaunay
-        triangulation internally.
+        ``(m, 3)`` index array, or ``None`` (the measurement mesh) to build
+        it with :func:`repro.geometry.delaunay.delaunay_mesh`. The mesh
+        builder relabels the samples lexicographically and collapses
+        near-duplicates, so ``self.points``/``self.values`` are then its
+        outputs; the rasteriser's shared-edge tie-break and the
+        extrapolation winner become functions of the sample *set* alone.
     extrapolate:
         ``"clamp"`` (default) extends the surface outside the sample hull via
         clamped barycentric coordinates; ``"nan"`` returns NaN there.
-    canonical:
-        When true, the triangle array is put into the order-independent
-        canonical form of :func:`repro.geometry.delaunay.canonical_simplices`
-        before use. The surface is the same; the rasteriser's shared-edge
-        tie-break and the extrapolation winner become functions of the
-        triangle *set* alone, so interpolators built from two
-        triangulations with the same triangles evaluate bit-identically.
     """
 
     def __init__(
@@ -121,7 +119,6 @@ class LinearSurfaceInterpolator:
         values: np.ndarray,
         triangulation: Union[DelaunayTriangulation, np.ndarray, None] = None,
         extrapolate: str = "clamp",
-        canonical: bool = False,
     ) -> None:
         if extrapolate not in ("clamp", "nan"):
             raise ValueError(f"unknown extrapolate mode: {extrapolate!r}")
@@ -136,26 +133,15 @@ class LinearSurfaceInterpolator:
         self.extrapolate = extrapolate
 
         if triangulation is None:
-            # Build internally, collapsing duplicate positions (keeping the
-            # first value seen) so triangle indices stay aligned with the
-            # point/value arrays.
-            tri = DelaunayTriangulation(skip_duplicates=True)
-            kept_values = []
-            for p, v in zip(self.points, self.values):
-                idx = tri.insert(p)
-                if idx == len(kept_values):
-                    kept_values.append(v)
-            self.points = tri.points
-            self.values = np.asarray(kept_values, dtype=float)
-            self.simplices = tri.simplices
+            self.points, self.values, self.simplices = delaunay_mesh(
+                self.points, self.values
+            )
         elif isinstance(triangulation, DelaunayTriangulation):
             self.simplices = triangulation.simplices
         else:
             self.simplices = np.asarray(triangulation, dtype=int).reshape(-1, 3)
         if self.simplices.size and self.simplices.max() >= len(self.points):
             raise ValueError("triangle index out of range for the point set")
-        if canonical:
-            self.simplices = canonical_simplices(self.simplices)
         self.simplices = self._drop_degenerate(self.simplices)
         self._tables: Optional[Tuple[np.ndarray, ...]] = None
         self._prune: Optional[Tuple[np.ndarray, ...]] = None
@@ -302,7 +288,11 @@ class LinearSurfaceInterpolator:
     def evaluate_grid_reference(
         self, xs: np.ndarray, ys: np.ndarray
     ) -> np.ndarray:
-        """Rasteriser-free grid evaluation (the tests' equivalence oracle)."""
+        """Rasteriser-free grid evaluation.
+
+        The path for unsorted axes and empty meshes, and the oracle the
+        rasteriser is tested against.
+        """
         xx, yy = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
         return self._evaluate(xx.ravel(), yy.ravel()).reshape(xx.shape)
 
@@ -368,7 +358,7 @@ class LinearSurfaceInterpolator:
         stage 2 computes the clamped value for the single winner per query
         at O(q) cost. Both stages use the exact weight formula (and hence
         every rounding step) of `barycentric_weights`, so the result matches
-        the sequential reference scan (:meth:`_extrapolate_clamped_reference`)
+        the sequential per-triangle reference scan of the test suite
         bit-for-bit.
         """
         px = np.asarray(px, dtype=float).reshape(-1)
@@ -623,28 +613,6 @@ class LinearSurfaceInterpolator:
         winner = np.empty(q, dtype=np.intp)
         winner[perm] = winner_full[:q]
         return winner
-
-    def _extrapolate_clamped_reference(
-        self, px: np.ndarray, py: np.ndarray
-    ) -> np.ndarray:
-        """Sequential per-triangle extrapolation scan (the tests' oracle)."""
-        best_violation = np.full(px.shape, np.inf, dtype=float)
-        best_value = np.full(px.shape, np.nan, dtype=float)
-        for ia, ib, ic in self.simplices:
-            a, b, c = self.points[ia], self.points[ib], self.points[ic]
-            wa, wb, wc = barycentric_weights(px, py, a, b, c)
-            violation = -np.minimum(np.minimum(wa, wb), wc)
-            ca = np.clip(wa, 0.0, None)
-            cb = np.clip(wb, 0.0, None)
-            cc = np.clip(wc, 0.0, None)
-            total = ca + cb + cc
-            value = (
-                ca * self.values[ia] + cb * self.values[ib] + cc * self.values[ic]
-            ) / total
-            better = violation < best_violation
-            best_violation[better] = violation[better]
-            best_value[better] = value[better]
-        return best_value
 
     def _nearest(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         d2 = (px[:, None] - self.points[None, :, 0]) ** 2 + (

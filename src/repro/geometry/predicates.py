@@ -22,6 +22,12 @@ from repro.geometry.primitives import Point2, PointLike
 EPSILON = 1e-9
 
 
+def orientation_det(ax, ay, bx, by, cx, cy):
+    """Twice the signed area of ``(a, b, c)``: the :func:`orientation`
+    determinant, elementwise over arrays like :func:`incircle_det`."""
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
 def orientation(a: PointLike, b: PointLike, c: PointLike, eps: float = EPSILON) -> int:
     """Orientation of the triple ``(a, b, c)``.
 
@@ -29,7 +35,7 @@ def orientation(a: PointLike, b: PointLike, c: PointLike, eps: float = EPSILON) 
     (numerically) collinear.
     """
     pa, pb, pc = Point2.of(a), Point2.of(b), Point2.of(c)
-    det = (pb.x - pa.x) * (pc.y - pa.y) - (pb.y - pa.y) * (pc.x - pa.x)
+    det = orientation_det(pa.x, pa.y, pb.x, pb.y, pc.x, pc.y)
     if det > eps:
         return 1
     if det < -eps:
@@ -68,14 +74,7 @@ def incircle(
     flipped so callers need not normalise orientation first.
     """
     pa, pb, pc, pd = (Point2.of(p) for p in (a, b, c, d))
-    adx, ady = pa.x - pd.x, pa.y - pd.y
-    bdx, bdy = pb.x - pd.x, pb.y - pd.y
-    cdx, cdy = pc.x - pd.x, pc.y - pd.y
-    det = (
-        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-    )
+    det = incircle_det(pa.x, pa.y, pb.x, pb.y, pc.x, pc.y, pd.x, pd.y)
     orient = orientation(pa, pb, pc, eps=eps)
     if orient < 0:
         det = -det
@@ -88,6 +87,75 @@ def incircle(
     if det < -eps:
         return -1
     return 0
+
+
+def incircle_det(ax, ay, bx, by, cx, cy, dx, dy):
+    """The in-circle determinant of :func:`incircle`, before its sign test.
+
+    Positive when ``d`` is inside the circle through a counter-clockwise
+    ``(a, b, c)``. Plain arithmetic, so it evaluates elementwise over numpy
+    arrays with the same rounding as on floats: every vectorised in-circle
+    scan in the library goes through this one formula.
+    """
+    adx, ady = ax - dx, ay - dy
+    bdx, bdy = bx - dx, by - dy
+    cdx, cdy = cx - dx, cy - dy
+    return (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
+
+
+def incircle_perturbed(a, b, c, d, ranks):
+    """:func:`incircle` with ties broken by symbolic perturbation.
+
+    ``a``..``d`` are points or ``(n, 2)`` arrays of points, with
+    ``(a, b, c)`` counter-clockwise; ``ranks`` gives the four points'
+    positions in a fixed total order (the mesh builder uses lexicographic
+    ``(x, y)`` rank). Off ties (``|det| > EPSILON``) the result is
+    :func:`incircle`'s. On a tie it is CGAL's 2-D
+    ``side_of_oriented_circle`` rule (Devillers & Teillaud, *Perturbations
+    for Delaunay and weighted Delaunay 3D triangulations*, CGTA 2011): the
+    highest-ranked of the four points is perturbed first; if it is ``d``
+    the answer is "outside", otherwise it is the orientation of the
+    triangle with that vertex replaced by ``d``; a collinear substitution
+    defers to the next-highest point. The result is never 0, so exactly one
+    diagonal of a cocircular convex quad is legal, and which one depends
+    only on the points' ranks — not on how the triangles are labelled.
+
+    A flat or clockwise ``(a, b, c)`` answers "outside". Returns an ``int``
+    for single points, else an ``int8`` array of +1/-1.
+    """
+    (ax, ay), (bx, by), (cx, cy), (dx, dy) = (
+        np.asarray(p, dtype=float).reshape(-1, 2).T for p in (a, b, c, d)
+    )
+    det = incircle_det(ax, ay, bx, by, cx, cy, dx, dy)
+    ccw = orientation_det(ax, ay, bx, by, cx, cy) > EPSILON
+    out = np.where(ccw & (det > EPSILON), 1, -1).astype(np.int8)
+    t = np.flatnonzero(ccw & (np.abs(det) <= EPSILON))
+    if t.size:
+        # Orientation of (a, b, c) with a, b or c replaced by d; d itself
+        # ranking highest means "outside".
+        subst = np.stack([
+            _sign(orientation_det(dx[t], dy[t], bx[t], by[t], cx[t], cy[t])),
+            _sign(orientation_det(ax[t], ay[t], dx[t], dy[t], cx[t], cy[t])),
+            _sign(orientation_det(ax[t], ay[t], bx[t], by[t], dx[t], dy[t])),
+            np.full(t.size, -1, dtype=np.int8),
+        ])
+        rank = np.stack([np.broadcast_to(r, ax.shape)[t] for r in ranks])
+        top = np.argsort(-rank, axis=0)
+        cols = np.arange(t.size)
+        first, second = subst[top[0], cols], subst[top[1], cols]
+        res = np.where(first != 0, first, second)
+        out[t] = np.where(res != 0, res, -1)
+    return int(out[0]) if np.ndim(a) == 1 else out
+
+
+def _sign(det: np.ndarray) -> np.ndarray:
+    return np.where(det > EPSILON, 1, np.where(det < -EPSILON, -1, 0)).astype(
+        np.int8
+    )
 
 
 def point_in_triangle(

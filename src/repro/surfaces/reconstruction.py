@@ -67,7 +67,7 @@ def reconstruct_surface(
     # CMA round and FRA history point.
     obs = get_instrumentation()
     with obs.span("reconstruct"):
-        interp = LinearSurfaceInterpolator(pts, vals, canonical=True)
+        interp = LinearSurfaceInterpolator(pts, vals)
         surface = GridSample(
             xs=reference.xs,
             ys=reference.ys,

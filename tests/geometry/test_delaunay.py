@@ -13,6 +13,8 @@ from repro.geometry.delaunay import (
 )
 from repro.geometry.predicates import orientation
 
+from mesh_oracles import bad_triangle_slots_reference
+
 
 class TestTriangle:
     def test_edges(self):
@@ -178,7 +180,7 @@ class TestCircumcircleCache:
         dt = DelaunayTriangulation(pts)
         for q in queries:
             fast = dt._bad_triangle_slots(q[0], q[1])
-            ref = dt._bad_triangle_slots_reference(q[0], q[1])
+            ref = bad_triangle_slots_reference(dt, q[0], q[1])
             assert np.array_equal(fast, ref)
 
     def test_uniform_points(self, rng):

@@ -11,6 +11,8 @@ from repro.geometry.interpolation import (
     barycentric_coordinates,
 )
 
+from mesh_oracles import extrapolate_clamped_reference
+
 
 def plane(x, y):
     return 2.0 * x - 3.0 * y + 1.0
@@ -216,7 +218,7 @@ class TestFastPathVsReference:
         qx = rng.uniform(0, 100, size=200)
         qy = rng.uniform(0, 100, size=200)
         fast = interp._extrapolate_clamped(qx, qy)
-        ref = interp._extrapolate_clamped_reference(qx, qy)
+        ref = extrapolate_clamped_reference(interp, qx, qy)
         assert np.all(np.abs(fast - ref) <= 1e-9)
         assert np.array_equal(fast, ref)
 
@@ -236,7 +238,7 @@ class TestFastPathVsReference:
         m = len(interp.simplices)
         assert m * len(qx) > interp_mod._DENSE_EXTRAP_MAX  # pruned regime
         fast = interp._extrapolate_clamped(qx, qy)
-        ref = interp._extrapolate_clamped_reference(qx, qy)
+        ref = extrapolate_clamped_reference(interp, qx, qy)
         assert np.all(np.abs(fast - ref) <= 1e-9)
         assert np.array_equal(fast, ref)
 

@@ -11,6 +11,7 @@ from repro.geometry.predicates import (
     circumcenter,
     collinear,
     incircle,
+    incircle_perturbed,
     orientation,
     point_in_triangle,
     segments_intersect,
@@ -81,6 +82,83 @@ class TestIncircle:
             return
         for v in (a, b, c):
             assert incircle(a, b, c, v) <= 0
+
+
+#: The 12 integer points on the circle x^2 + y^2 = 25, counter-clockwise.
+_CIRCLE5 = sorted(
+    [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25],
+    key=lambda p: math.atan2(p[1], p[0]),
+)
+
+
+class TestIncirclePerturbed:
+    """Symbolic-perturbation tie-break for cocircular quads."""
+
+    @staticmethod
+    def _legal(quad, ranks, diagonal):
+        # Diagonal 0 joins quad[0]-quad[2], diagonal 1 joins quad[1]-quad[3].
+        # The diagonal is legal when the far vertex is outside the circle of
+        # either triangle next to it; both triangles must agree.
+        i = diagonal
+        p = [quad[(i + j) % 4] for j in range(4)]
+        r = [ranks[(i + j) % 4] for j in range(4)]
+        one = incircle_perturbed(p[0], p[1], p[2], p[3], r)
+        two = incircle_perturbed(p[2], p[3], p[0], p[1], r[2:] + r[:2])
+        assert one == two
+        return one < 0
+
+    @given(
+        st.lists(st.integers(0, 11), min_size=4, max_size=4, unique=True),
+        st.integers(1, 50),
+        st.integers(-100, 100),
+        st.integers(-100, 100),
+        st.permutations([0, 1, 2, 3]),
+    )
+    def test_cocircular_quad_has_one_legal_diagonal(
+        self, picks, scale, ox, oy, ranks
+    ):
+        quad = [
+            (ox + scale * _CIRCLE5[i][0], oy + scale * _CIRCLE5[i][1])
+            for i in sorted(picks)
+        ]
+        assert incircle(*quad) == 0
+        legal = [self._legal(quad, list(ranks), d) for d in (0, 1)]
+        assert legal.count(True) == 1
+
+    @given(
+        st.integers(-50, 50),
+        st.integers(-50, 50),
+        st.integers(1, 40),
+        st.integers(1, 40),
+    )
+    def test_rectangle_lexicographic_rank(self, x0, y0, w, h):
+        # Every grid cell is a cocircular rectangle; with lexicographic
+        # ranks the legal diagonal is the same one in every cell.
+        quad = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
+        ranks = [0, 2, 3, 1]  # lexicographic (x, y) order of the corners
+        assert not self._legal(quad, ranks, 0)
+        assert self._legal(quad, ranks, 1)
+
+    @given(coord, coord, coord, coord, coord, coord, coord, coord,
+           st.permutations([0, 1, 2, 3]))
+    def test_equals_incircle_off_ties(self, ax, ay, bx, by, cx, cy, dx, dy, r):
+        a, b, c, d = (ax, ay), (bx, by), (cx, cy), (dx, dy)
+        if orientation(a, b, c) < 0:
+            b, c = c, b  # the perturbed test takes (a, b, c) counter-clockwise
+        plain = incircle(a, b, c, d)
+        perturbed = incircle_perturbed(a, b, c, d, r)
+        if plain != 0:
+            assert perturbed == plain
+        else:
+            assert perturbed in (-1, 1)
+
+    def test_vectorised_matches_scalar(self):
+        rng = np.random.default_rng(3)
+        pts = rng.integers(-3, 4, size=(200, 4, 2)).astype(float)
+        ranks = np.argsort(rng.random((200, 4)), axis=1).T
+        out = incircle_perturbed(*pts.transpose(1, 0, 2), ranks)
+        for i in range(200):
+            assert out[i] == incircle_perturbed(*pts[i], ranks[:, i])
 
 
 class TestPointInTriangle:
